@@ -72,6 +72,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -87,7 +88,19 @@ import (
 	"repro/internal/runctl"
 )
 
+// gcPercent is the daemon's garbage-collection target, used unless the
+// environment sets GOGC. A design job allocates a few MB — most of it the
+// gob encoding of its evaluation-cache flush — against a live heap of a
+// few tens of MB, so at the runtime's default of 100 a collection starts
+// every few jobs and marks alongside the running ones. On a 2-vCPU Xeon
+// at 30 jobs/s that put the submit-to-artifact p95 at 41 ms against 29 ms
+// at 300, where the heap stays at a few times its live size.
+const gcPercent = 300
+
 func main() {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "ftesd:", err)
 		os.Exit(1)

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/appmodel"
@@ -249,6 +250,7 @@ func runSequential(ctx context.Context, app *appmodel.Application, pl *platform.
 		if ev != nil {
 			res.EvalStats = ev.Stats()
 			ev.FlushPersistent()
+			ev.RetireMetrics()
 		}
 		span.SetAttr(
 			obs.Bool("feasible", res.Feasible),
@@ -359,8 +361,10 @@ func runSequential(ctx context.Context, app *appmodel.Application, pl *platform.
 			res.Feasible = true
 			res.Arch = final
 			res.Mapping = cand.Mapping
-			res.Ks = cand.Solution.Ks
-			res.Schedule = cand.Solution.Schedule
+			// Ks and Schedule live in the engine's slabs: copy them so the
+			// result does not pin slab chunks full of other solutions.
+			res.Ks = slices.Clone(cand.Solution.Ks)
+			res.Schedule = cand.Solution.Schedule.Clone()
 			res.Cost = cand.Solution.Cost
 			archPh.Best(bestCost)
 			opts.Log.Debug("new best architecture",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,8 +193,9 @@ func runParallel(ctx context.Context, app *appmodel.Application, pl *platform.Pl
 				res.Feasible = true
 				res.Arch = final
 				res.Mapping = cand.Mapping
-				res.Ks = cand.Solution.Ks
-				res.Schedule = cand.Solution.Schedule
+				// Copied out of the probe engine's slabs, as in runSequential.
+				res.Ks = slices.Clone(cand.Solution.Ks)
+				res.Schedule = cand.Solution.Schedule.Clone()
 				res.Cost = cand.Solution.Cost
 				archPh.Best(bestCost)
 				opts.Log.Debug("new best architecture",
@@ -238,6 +240,10 @@ func probeArch(ctx context.Context, app *appmodel.Application, pl *platform.Plat
 	defer span.End()
 	ce := evalengine.NewConcurrentWith(problem(app, pl, ar, opts), workers, sfpc)
 	ce.SetMetrics(opts.Metrics)
+	// The probe's engine dies with the probe: retire its live gauges so
+	// the run's registry does not pin it (runSequential does the same in
+	// finalize for its one engine).
+	defer ce.RetireMetrics()
 	ce.SetProgress(opts.Progress)
 	ce.SetPersistent(opts.EvalCache)
 	ce.Worker(0).SetTraceSpan(span)

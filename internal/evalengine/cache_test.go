@@ -1,7 +1,6 @@
 package evalengine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -9,7 +8,21 @@ import (
 	"repro/internal/platform"
 	"repro/internal/redundancy"
 	"repro/internal/sfp"
+	"repro/internal/slab"
 )
+
+// keysInShard returns count distinct one-int keys (with their hashes)
+// that all land in shard 0.
+func keysInShard(count int) (keys [][]uint16, hashes []uint64) {
+	for i := 0; len(keys) < count; i++ {
+		k := []uint16{uint16(i)}
+		if h := hashInts(hashSeed, k); h%nShards == 0 {
+			keys = append(keys, k)
+			hashes = append(hashes, h)
+		}
+	}
+	return keys, hashes
+}
 
 // TestSolCachePutEvictsOneVictim pins the regression for the whole-shard
 // reset: overflowing a shard must displace exactly one resident entry per
@@ -18,30 +31,25 @@ func TestSolCachePutEvictsOneVictim(t *testing.T) {
 	c := newSolCache(nShards * 4) // shardCap = 4
 	sol := &redundancy.Solution{}
 
-	// Fill one shard to its cap. Keys are grouped by shard index.
-	byShard := make(map[int][]string)
-	for i := 0; len(byShard[0]) < 6; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		byShard[shardOf(k)] = append(byShard[shardOf(k)], k)
-	}
-	keys := byShard[0]
+	// Fill one shard to its cap.
+	keys, hs := keysInShard(6)
 	var evicted int64
-	for _, k := range keys[:4] {
-		evicted += c.put(k, sol)
+	for i := range keys[:4] {
+		evicted += c.put(hs[i], hs[i], keys[i], sol)
 	}
 	if evicted != 0 {
 		t.Fatalf("evictions while filling to cap: %d", evicted)
 	}
 	// Re-putting a resident key at cap must not evict anything.
-	if ev := c.put(keys[0], sol); ev != 0 {
+	if ev := c.put(hs[0], hs[0], keys[0], sol); ev != 0 {
 		t.Fatalf("re-put of resident key evicted %d entries", ev)
 	}
 	// One past cap: exactly one victim, incoming entry kept, population
 	// stays at cap instead of collapsing to one.
-	if ev := c.put(keys[4], sol); ev != 1 {
+	if ev := c.put(hs[4], hs[4], keys[4], sol); ev != 1 {
 		t.Fatalf("overflow put evicted %d entries, want 1", ev)
 	}
-	if _, ok := c.get(keys[4]); !ok {
+	if _, ok := c.get(hs[4], hs[4], []int{int(keys[4][0])}, nil); !ok {
 		t.Fatal("incoming entry was not kept on overflow")
 	}
 	if n := c.size(); n != 4 {
@@ -50,7 +58,7 @@ func TestSolCachePutEvictsOneVictim(t *testing.T) {
 }
 
 // TestSFPCachePutEvictsOneVictim is the same regression for the SFP cache,
-// whose entries are nested under node pointers.
+// whose entries are scoped by node type.
 func TestSFPCachePutEvictsOneVictim(t *testing.T) {
 	c := NewSFPCache()
 	nodeA := &platform.Node{}
@@ -58,36 +66,29 @@ func TestSFPCachePutEvictsOneVictim(t *testing.T) {
 	nd := &sfp.Node{}
 
 	cap := maxSFPEntries / nShards
-	shard := func(k string) int { return shardOf(k) }
 	// Generate enough shard-0 keys to overflow.
-	var keys []string
-	for i := 0; len(keys) < cap+2; i++ {
-		k := fmt.Sprintf("sfp-%d", i)
-		if shard(k) == 0 {
-			keys = append(keys, k)
-		}
-	}
+	keys, hs := keysInShard(cap + 2)
 	var evicted int64
-	for i, k := range keys[:cap] {
+	for i := range keys[:cap] {
 		n := nodeA
 		if i%2 == 1 {
 			n = nodeB
 		}
-		evicted += c.put(n, k, nd)
+		evicted += c.put(n, hs[i], keys[i], nd)
 	}
 	if evicted != 0 {
 		t.Fatalf("evictions while filling to cap: %d", evicted)
 	}
-	if ev := c.put(nodeA, keys[0], nd); ev != 0 {
+	if ev := c.put(nodeA, hs[0], keys[0], nd); ev != 0 {
 		t.Fatalf("re-put of resident key evicted %d entries", ev)
 	}
-	if ev := c.put(nodeA, keys[cap], nd); ev != 1 {
+	if ev := c.put(nodeA, hs[cap], keys[cap], nd); ev != 1 {
 		t.Fatalf("overflow put evicted %d entries, want 1", ev)
 	}
-	if _, ok := c.get(nodeA, []byte(keys[cap])); !ok {
+	if _, ok := c.get(nodeA, hs[cap], []int{int(keys[cap][0])}, nil); !ok {
 		t.Fatal("incoming entry was not kept on overflow")
 	}
-	if n := c.shards[0].count; n != cap {
+	if n := c.t.shards[0].n; n != cap {
 		t.Fatalf("shard population after overflow = %d, want %d", n, cap)
 	}
 }
@@ -130,5 +131,48 @@ func TestSetMetricsIdempotent(t *testing.T) {
 	st.setMetrics(nil)
 	if n := countLiveGauges(b); n != 0 {
 		t.Fatalf("registry still holds %d live gauges after SetMetrics(nil)", n)
+	}
+}
+
+// TestTableCollisionChains forces distinct keys onto one hash: every get
+// must confirm the full key, colliding entries must chain rather than
+// overwrite each other, and eviction must count chained entries one at a
+// time.
+func TestTableCollisionChains(t *testing.T) {
+	c := newSolCache(nShards * 3) // shardCap = 3
+	const h = 42                  // one hash for every key below
+	sols := []*redundancy.Solution{{Cost: 1}, {Cost: 2}, {Cost: 3}, {Cost: 4}}
+	keys := [][]int{{1, 2}, {2, 1}, {1, 2, 3}, {7}}
+	stored := func(k []int) []uint16 { return makeKey(new(slab.Slab[uint16]), k, nil) }
+	for i, k := range keys[:3] {
+		if ev := c.put(h, h, stored(k), sols[i]); ev != 0 {
+			t.Fatalf("put %v evicted %d", k, ev)
+		}
+	}
+	if ev := c.put(h, h, stored(keys[1]), sols[3]); ev != 0 || c.size() != 3 {
+		t.Fatalf("re-put of a chained key: evicted %d, size %d", ev, c.size())
+	}
+	for i, k := range keys[:3] {
+		if got, ok := c.get(h, h, k, nil); !ok || got != sols[i] {
+			t.Fatalf("get %v = %v, %v; want %v", k, got, ok, sols[i])
+		}
+	}
+	// Split points do not matter, only the concatenation.
+	if got, ok := c.get(h, h, []int{1}, []int{2, 3}); !ok || got != sols[2] {
+		t.Fatalf("get [1]++[2 3] = %v, %v", got, ok)
+	}
+	if _, ok := c.get(h, h, keys[3], nil); ok {
+		t.Fatal("a key never put hit through a hash collision")
+	}
+	if ev := c.put(h, h, stored(keys[3]), sols[3]); ev != 1 || c.size() != 3 {
+		t.Fatalf("overflow put into a chained slot: evicted %d, size %d", ev, c.size())
+	}
+	if got, ok := c.get(h, h, keys[3], nil); !ok || got != sols[3] {
+		t.Fatal("incoming entry was not kept on overflow")
+	}
+	n := 0
+	c.each(func([]uint16, *redundancy.Solution) { n++ })
+	if n != 3 {
+		t.Fatalf("each visited %d entries, want 3", n)
 	}
 }

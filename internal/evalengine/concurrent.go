@@ -9,8 +9,8 @@ import (
 // Concurrent is the multi-goroutine face of the evaluation engine: N
 // worker Evaluators over one shared store (solution caches, SFP node
 // cache, atomic counters). Each worker is handed to exactly one goroutine
-// at a time — workers own mutable scratch (schedule workspace, key
-// buffer, bus clone) — while everything a worker computes lands in the
+// at a time — workers own mutable scratch (schedule workspace, slabs,
+// bus clone) — while everything a worker computes lands in the
 // shared caches, so work done by one worker is a cache hit for the rest.
 //
 // Determinism: a cache is only ever a shortcut to a value the worker
@@ -113,6 +113,10 @@ func (c *Concurrent) ResetStats() { c.st.resetStats() }
 // recorded into (shared by all workers); nil disables them. Spans are
 // per-worker: install them with Worker(i).SetTraceSpan.
 func (c *Concurrent) SetMetrics(r *obs.Registry) { c.st.setMetrics(r) }
+
+// RetireMetrics detaches the registry at the end of the engine's run; see
+// Evaluator.RetireMetrics.
+func (c *Concurrent) RetireMetrics() { c.st.retireMetrics() }
 
 // SetProgress installs the live-progress publisher (shared by all
 // workers); nil disables publication.

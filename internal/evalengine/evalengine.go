@@ -28,12 +28,13 @@
 // exact arithmetic of the uncached path (enforced by
 // TestEvaluatorMatchesFresh).
 //
-// An Evaluator is a single-goroutine handle: its scratch buffers (schedule
-// workspace, key buffer, bus) are not safe for concurrent use. The caches
-// behind it are concurrency-safe and shared — NewConcurrent builds an
-// engine with one Evaluator per worker over the same caches, so parallel
-// design-space exploration (package mapping, package core) reuses exactly
-// what the sequential path reuses. See concurrent.go.
+// An Evaluator is a single-goroutine handle: its scratch buffers and slabs
+// (schedule workspace, solution and key slabs, bus) are not safe for
+// concurrent use. The caches behind it are concurrency-safe and shared —
+// NewConcurrent builds an engine with one Evaluator per worker over the
+// same caches, so parallel design-space exploration (package mapping,
+// package core) reuses exactly what the sequential path reuses. See
+// concurrent.go.
 package evalengine
 
 import (
@@ -46,12 +47,13 @@ import (
 	"repro/internal/redundancy"
 	"repro/internal/sched"
 	"repro/internal/sfp"
+	"repro/internal/slab"
 )
 
-// Cache-size backstops: when a cache shard exceeds its cap it is dropped
-// wholesale (correctness is unaffected — entries are pure memoization).
-// The caps are far above what a single architecture's search touches; they
-// only bound pathological runs.
+// Cache-size backstops: a put into a full cache shard evicts one counted
+// victim (Stats.Evictions); correctness is unaffected — entries are pure
+// memoization. The caps are far above what a single architecture's search
+// touches; they only bound pathological runs.
 const (
 	maxSolutionEntries = 1 << 15
 	maxOptEntries      = 1 << 14
@@ -83,9 +85,21 @@ type Evaluator struct {
 	wid  int
 
 	ws       sched.Workspace
-	keyBuf   []byte
 	buckets  [][]int   // per arch node: pids mapped on it, ascending
 	probsBuf []float64 // scratch for one node's failure probabilities
+	failsBuf []float64 // scratch for ReExecutionOptInto
+	analysis sfp.Analysis
+	// sols, ints and keys carve what a cache miss retains — the Solution,
+	// its Levels and Ks, and the stored cache keys — the way the workspace
+	// carves schedules: one chunk per many misses instead of several
+	// objects per miss. Carved regions are handed out once and then owned
+	// by the shared caches. SFP keys get a slab of their own: the SFP
+	// cache outlives the solution caches across SetProblem, and its keys
+	// must not pin chunks full of dropped solution keys.
+	sols    slab.Slab[redundancy.Solution]
+	ints    slab.Slab[int]
+	keys    slab.Slab[uint16]
+	sfpKeys slab.Slab[uint16]
 	// archBuf is a private clone of the problem's architecture whose
 	// Levels are overwritten per evaluation; anodesBuf is the per-call
 	// node-analysis slice. Neither escapes: schedules reference no
@@ -124,6 +138,12 @@ func (e *Evaluator) TraceSpan() *obs.Span { return e.span }
 // recorded into; nil disables them. The registry is store-level state,
 // shared by every worker of a Concurrent engine.
 func (e *Evaluator) SetMetrics(r *obs.Registry) { e.st.setMetrics(r) }
+
+// RetireMetrics detaches the installed registry at the end of the
+// engine's run: the live callback gauges (evalengine.live.*) become plain
+// gauges holding their final values, so a registry that outlives the run
+// keeps reporting them without pinning the engine's caches.
+func (e *Evaluator) RetireMetrics() { e.st.retireMetrics() }
 
 // MetricsRegistry returns the installed registry (nil when disabled).
 func (e *Evaluator) MetricsRegistry() *obs.Registry { return e.st.metrics }
@@ -247,26 +267,17 @@ func (e *Evaluator) maxK() int {
 	return sfp.DefaultMaxK
 }
 
-// appendInts encodes vals into dst as fixed-width big-endian 16-bit
-// values; hardening levels and node indices are far below 1<<16.
-func appendInts(dst []byte, vals []int) []byte {
-	for _, v := range vals {
-		dst = append(dst, byte(v>>8), byte(v))
-	}
-	return dst
-}
-
 // Evaluate returns the full solution (re-executions, schedule, cost,
 // feasibility) for the given mapping and hardening vector, from cache when
 // possible. The returned Solution is shared across callers and must be
-// treated as immutable.
+// treated as immutable; it lives in the evaluator's slabs, so callers that
+// keep it beyond the engine copy what they keep (core.Run does).
 func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.evaluations.Add(1)
 	st.perWorker[e.wid].evaluations.Add(1)
-	e.keyBuf = appendInts(appendInts(e.keyBuf[:0], levels), mapping)
-	key := string(e.keyBuf)
-	if sol, ok := st.sols.get(key); ok {
+	h := hashInts(hashInts(hashSeed, levels), mapping)
+	if sol, ok := st.sols.get(h, h, levels, mapping); ok {
 		st.stats.cacheHits.Add(1)
 		return sol, nil
 	}
@@ -276,7 +287,7 @@ func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error
 	if err != nil {
 		return nil, err
 	}
-	if ev := st.sols.put(key, sol); ev > 0 {
+	if ev := st.sols.put(h, h, makeKey(&e.keys, levels, mapping), sol); ev > 0 {
 		st.stats.evictions.Add(ev)
 	}
 	return sol, nil
@@ -287,14 +298,23 @@ func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error
 // cache and the schedule built through the reusable workspace.
 func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	p := &e.prob
+	m := len(levels)
 	start := time.Now()
 	analysis, err := e.analysisFor(mapping, levels)
 	if err != nil {
 		return nil, err
 	}
-	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, e.maxK())
-	e.st.stats.reExecNanos.Add(int64(time.Since(start)))
-	e.st.mReexec.Observe(time.Since(start))
+	// One carve backs the solution's Ks and Levels.
+	buf := e.ints.Make(2 * m)
+	ks, lv := buf[:m:m], buf[m:]
+	copy(lv, levels)
+	if cap(e.failsBuf) < m {
+		e.failsBuf = make([]float64, m)
+	}
+	reliable, err := redundancy.ReExecutionOptInto(analysis, p.Goal, e.maxK(), ks, e.failsBuf)
+	d := time.Since(start)
+	e.st.stats.reExecNanos.Add(int64(d))
+	e.st.mReexec.Observe(d)
 	if err != nil {
 		return nil, err
 	}
@@ -315,27 +335,31 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 		Bus:     p.Bus,
 		Model:   p.Model,
 	}, &e.ws)
-	e.st.stats.schedNanos.Add(int64(time.Since(start)))
-	e.st.mSched.Observe(time.Since(start))
+	d = time.Since(start)
+	e.st.stats.schedNanos.Add(int64(d))
+	e.st.mSched.Observe(d)
 	if err != nil {
 		return nil, err
 	}
 	e.st.stats.scheduleBuilds.Add(1)
-	return &redundancy.Solution{
-		Levels:      append([]int(nil), levels...),
+	sol := e.sols.New()
+	*sol = redundancy.Solution{
+		Levels:      lv,
 		Ks:          ks,
 		Schedule:    s,
 		Cost:        ar.Cost(),
 		Reliable:    reliable,
 		Schedulable: e.ws.Schedulable(s),
-	}, nil
+	}
+	return sol, nil
 }
 
 // analysisFor assembles the SFP analysis for (mapping, levels) from the
 // per-node cache, computing and caching any node analysis not seen before.
 // Process lists are collected in ascending process ID, matching the
 // probability order of the uncached redundancy.ReExecutionOpt path
-// bit-for-bit.
+// bit-for-bit. The returned analysis is evaluator scratch, valid until the
+// next call.
 func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	nodes := e.prob.Arch.Nodes
 	if len(levels) != len(nodes) {
@@ -344,7 +368,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	// A repeated mapping (the common case: hardening searches probe many
 	// level vectors under one fixed mapping) keeps its process buckets,
 	// and every node whose level is also unchanged keeps the analysis
-	// already sitting in anodesBuf — no key build, no shared-cache lookup.
+	// already sitting in anodesBuf — no key hash, no shared-cache lookup.
 	sameMap := slices.Equal(e.lastMapping, mapping) && len(e.lastLevels) == len(nodes)
 	if !sameMap {
 		for j := range e.buckets {
@@ -375,14 +399,15 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 			e.lastMapping = e.lastMapping[:0]
 			return nil, fmt.Errorf("evalengine: node %d has no h-version at level %d", j, levels[j])
 		}
-		e.keyBuf = appendInts(appendInts(e.keyBuf[:0], levels[j:j+1]), e.buckets[j])
-		if nd, ok := e.st.sfp.get(n, e.keyBuf); ok {
+		level, pids := levels[j:j+1], e.buckets[j]
+		h := hashInts(hashInts(hashSeed, level), pids)
+		if nd, ok := e.st.sfp.get(n, h, level, pids); ok {
 			e.st.stats.sfpHits.Add(1)
 			anodes[j] = nd
 			continue
 		}
 		probs := e.probsBuf[:0]
-		for _, pid := range e.buckets[j] {
+		for _, pid := range pids {
 			probs = append(probs, v.FailProb[pid])
 		}
 		e.probsBuf = probs[:0]
@@ -392,14 +417,15 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 			return nil, fmt.Errorf("evalengine: node %d: %w", j, err)
 		}
 		e.st.stats.sfpBuilds.Add(1)
-		if ev := e.st.sfp.put(n, string(e.keyBuf), nd); ev > 0 {
+		if ev := e.st.sfp.put(n, h, makeKey(&e.sfpKeys, level, pids), nd); ev > 0 {
 			e.st.stats.evictions.Add(ev)
 		}
 		anodes[j] = nd
 	}
 	e.lastMapping = append(e.lastMapping[:0], mapping...)
 	e.lastLevels = append(e.lastLevels[:0], levels...)
-	return &sfp.Analysis{Nodes: anodes, Period: e.period}, nil
+	e.analysis = sfp.Analysis{Nodes: anodes, Period: e.period}
+	return &e.analysis, nil
 }
 
 // RedundancyOpt runs the full hardening/re-execution trade-off of Section
@@ -411,8 +437,8 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.optRuns.Add(1)
-	key := string(appendInts(e.keyBuf[:0], mapping))
-	if sol, ok := st.opts.get(key); ok {
+	h := hashInts(hashSeed, mapping)
+	if sol, ok := st.opts.get(h, h, mapping, nil); ok {
 		st.stats.optHits.Add(1)
 		return sol, nil
 	}
@@ -437,7 +463,7 @@ func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 		obs.Bool("feasible", sol.Reliable && sol.Schedulable),
 	)
 	sp.End()
-	if ev := st.opts.put(key, sol); ev > 0 {
+	if ev := st.opts.put(h, h, makeKey(&e.keys, mapping, nil), sol); ev > 0 {
 		st.stats.evictions.Add(ev)
 	}
 	return sol, nil

@@ -71,27 +71,55 @@ func problemFingerprint(p redundancy.Problem) (string, bool) {
 	return fp, true
 }
 
-// snapshotMap copies the cache's entries into a plain map for
-// serialization.
-func (c *solCache) snapshotMap() map[string]*redundancy.Solution {
-	out := make(map[string]*redundancy.Solution, c.size())
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.m {
-			out[k] = v
-		}
-		sh.mu.RUnlock()
+// appendKey encodes a stored key as fixed-width big-endian 16-bit values —
+// the key format of the persisted cache files.
+func appendKey(dst []byte, key []uint16) []byte {
+	for _, v := range key {
+		dst = append(dst, byte(v>>8), byte(v))
 	}
+	return dst
+}
+
+// decodeKey is the inverse of appendKey; ok is false for a key of odd
+// length, which no appendKey output has.
+func decodeKey(s string) (key []uint16, ok bool) {
+	if len(s)%2 != 0 {
+		return nil, false
+	}
+	key = make([]uint16, len(s)/2)
+	for i := range key {
+		key[i] = uint16(s[2*i])<<8 | uint16(s[2*i+1])
+	}
+	return key, true
+}
+
+// snapshotMap copies the cache's entries into a plain map for
+// serialization, re-encoding each stored key with appendKey: the
+// in-memory caches key by hash, the files by the encoded ints, so the
+// file format is unchanged and files from either layout load into both.
+func snapshotMap(c *solCache) map[string]*redundancy.Solution {
+	out := make(map[string]*redundancy.Solution, c.size())
+	var buf []byte
+	c.each(func(key []uint16, sol *redundancy.Solution) {
+		buf = appendKey(buf[:0], key)
+		out[string(buf)] = sol
+	})
 	return out
 }
 
-// seed inserts previously persisted entries, honoring the shard caps
-// (overflow beyond the cap is silently not seeded — the disk file may
-// accumulate more history than the in-memory backstop admits).
-func (c *solCache) seed(m map[string]*redundancy.Solution) {
-	for k, v := range m {
-		c.put(k, v)
+// seed inserts previously persisted entries under the usual shard caps —
+// the disk file may accumulate more history than the in-memory backstop
+// admits, and the overflow displaces residents without being counted as
+// run evictions. A key that does not decode is skipped like any other
+// damaged entry.
+func seed(c *solCache, m map[string]*redundancy.Solution) {
+	for k, sol := range m {
+		key, ok := decodeKey(k)
+		if !ok {
+			continue
+		}
+		h := hashInts(hashSeed, key)
+		c.put(h, h, key, sol)
 	}
 }
 
@@ -117,8 +145,8 @@ func (st *store) loadPersistent(fp string) {
 	if !ok {
 		return
 	}
-	st.sols.seed(e.Sols)
-	st.opts.seed(e.Opts)
+	seed(st.sols, e.Sols)
+	seed(st.opts, e.Opts)
 	st.persistSeeded = len(e.Sols) + len(e.Opts)
 }
 
@@ -131,8 +159,8 @@ func (st *store) flushPersistent() error {
 	if st.persist == nil || st.persistFP == "" {
 		return nil
 	}
-	sols := st.sols.snapshotMap()
-	opts := st.opts.snapshotMap()
+	sols := snapshotMap(st.sols)
+	opts := snapshotMap(st.opts)
 	total := len(sols) + len(opts)
 	if total <= st.persistSeeded {
 		return nil

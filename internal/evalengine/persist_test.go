@@ -119,3 +119,44 @@ func TestPersistentSetProblemFlushes(t *testing.T) {
 		t.Fatalf("returning to a flushed problem rebuilt %d schedules", s.ScheduleBuilds)
 	}
 }
+
+// TestPersistedKeyFormat pins the on-disk key layout the hashed caches
+// re-encode into: levels ++ mapping as big-endian 16-bit values, the
+// layout of every cache file written so far. An entry written under that
+// layout must seed the cache and be hit without a rebuild.
+func TestPersistedKeyFormat(t *testing.T) {
+	p, m := persistProblem(t, 11)
+	levels := make([]int, len(p.Arch.Nodes))
+	for j, n := range p.Arch.Nodes {
+		levels[j] = n.MinLevel()
+	}
+	want := make([]byte, 0, 2*(len(levels)+len(m)))
+	for _, v := range append(append([]int(nil), levels...), m...) {
+		want = append(want, 0, byte(v))
+	}
+	ev := New(p)
+	sol, err := ev.Evaluate(m, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotMap(ev.st.sols)
+	if len(snap) != 1 || snap[string(want)] != sol {
+		t.Fatalf("snapshot keys = %q, want the single key %q", keysOf(snap), want)
+	}
+	fresh := New(p)
+	seed(fresh.st.sols, map[string]*redundancy.Solution{string(want): sol})
+	if got, err := fresh.Evaluate(m, levels); err != nil || got != sol {
+		t.Fatalf("seeded entry not hit: %v, %v", got, err)
+	}
+	if st := fresh.Stats(); st.ScheduleBuilds != 0 {
+		t.Fatalf("seeded lookup rebuilt %d schedules", st.ScheduleBuilds)
+	}
+}
+
+func keysOf(m map[string]*redundancy.Solution) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}

@@ -72,16 +72,26 @@ func CompleteHomogeneous(p []float64, maxF int) ([]float64, error) {
 		return nil, ErrNegativeFaults
 	}
 	h := make([]float64, maxF+1)
+	CompleteHomogeneousInto(h, p)
+	return h, nil
+}
+
+// CompleteHomogeneousInto is CompleteHomogeneous writing h_0, …, h_{len(h)-1}
+// into h (overwriting it), for callers that own the buffer.
+func CompleteHomogeneousInto(h, p []float64) {
+	if len(h) == 0 {
+		return
+	}
 	h[0] = 1
+	clear(h[1:])
 	// h_f(p_1..p_i) = h_f(p_1..p_{i-1}) + p_i · h_{f-1}(p_1..p_i).
 	// Iterating f in ascending order makes h[f-1] already refer to the
 	// current variable set, which is exactly the recurrence above.
 	for _, x := range p {
-		for f := 1; f <= maxF; f++ {
+		for f := 1; f < len(h); f++ {
 			h[f] += x * h[f-1]
 		}
 	}
-	return h, nil
 }
 
 // MultisetSum computes h_f(p) by explicit enumeration of all multisets of

@@ -119,16 +119,30 @@ func ReExecutionOpt(app *appmodel.Application, ar *platform.Architecture, mappin
 // the combinatorial setup of sfp.NewAnalysis while running the exact same
 // greedy k-assignment.
 func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, maxK int) ([]int, bool, error) {
-	if err := goal.Validate(); err != nil {
+	ks := make([]int, len(analysis.Nodes))
+	reliable, err := ReExecutionOptInto(analysis, goal, maxK, ks, make([]float64, len(analysis.Nodes)))
+	if err != nil {
 		return nil, false, err
 	}
-	ks := make([]int, len(analysis.Nodes))
-	if analysis.MeetsGoal(ks, goal) {
-		return ks, true, nil
+	return ks, reliable, nil
+}
+
+// ReExecutionOptInto is ReExecutionOptAnalysis writing the counts into ks,
+// which must be zeroed and cover every analysed node; fails is scratch of
+// at least the same length. Callers that own the buffers (package
+// evalengine) run the greedy k-assignment without allocating.
+func ReExecutionOptInto(analysis *sfp.Analysis, goal sfp.Goal, maxK int, ks []int, fails []float64) (bool, error) {
+	if err := goal.Validate(); err != nil {
+		return false, err
 	}
-	fails := make([]float64, len(analysis.Nodes))
+	fails = fails[:len(analysis.Nodes)]
 	for j, n := range analysis.Nodes {
 		fails[j] = n.FailureProb(0)
+	}
+	// With every k_j = 0 this is analysis.MeetsGoal(ks, goal), evaluated
+	// on the fails vector the greedy loop below keeps anyway.
+	if sfp.Reliability(sfp.SystemFailureProb(fails), analysis.Period, goal.Tau) >= goal.Rho() {
+		return true, nil
 	}
 	for {
 		// Pick the increment with the lowest resulting union failure
@@ -153,12 +167,12 @@ func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, maxK int) ([]
 			}
 		}
 		if best < 0 {
-			return ks, false, nil // no increment helps; goal unreachable
+			return false, nil // no increment helps; goal unreachable
 		}
 		ks[best]++
 		fails[best] = analysis.Nodes[best].FailureProb(ks[best])
 		if sfp.Reliability(sfp.SystemFailureProb(fails), analysis.Period, goal.Tau) >= goal.Rho() {
-			return ks, true, nil
+			return true, nil
 		}
 	}
 }

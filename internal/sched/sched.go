@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/appmodel"
 	"repro/internal/platform"
+	"repro/internal/slab"
 )
 
 // Bus abstracts the communication medium used for cross-node messages; it
@@ -207,48 +208,19 @@ type Workspace struct {
 	absDeadline                            []float64
 	vers                                   []*platform.HVersion // per-node selected version, hoisted per build
 
-	// slabF and slabP carve the returned Schedule's arrays out of large
-	// pointer-free chunks instead of per-build allocations: callers that
-	// retain thousands of schedules (the evaluation engine's solution
-	// cache) cost the allocator and the garbage collector one chunk per
-	// ~hundred builds rather than five objects per build. Carved slices
-	// are never reused — the workspace only hands each region out once —
-	// so returned schedules stay independent of the workspace.
-	slabF []float64
-	slabP []appmodel.ProcID
+	// The returned Schedule — the struct, its five float arrays, the
+	// NodeOrder spine and the per-node order slices — is carved off these
+	// slabs instead of allocated per build: callers that retain thousands
+	// of schedules (the evaluation engine's solution cache) cost the
+	// allocator and the garbage collector one chunk per ~hundred builds
+	// rather than several objects per build. Carved regions are never
+	// reused, so returned schedules stay independent of the workspace.
+	floats slab.Slab[float64]
+	procs  slab.Slab[appmodel.ProcID]
+	orders slab.Slab[[]appmodel.ProcID]
+	scheds slab.Slab[Schedule]
 
 	tr trace
-}
-
-// slabChunk is the slab allocation granularity in elements.
-const slabChunk = 1 << 14
-
-// carveF returns k fresh zeroed float64s off the workspace slab.
-func (ws *Workspace) carveF(k int) []float64 {
-	if len(ws.slabF) < k {
-		c := slabChunk
-		if k > c {
-			c = k
-		}
-		ws.slabF = make([]float64, c)
-	}
-	out := ws.slabF[:k:k]
-	ws.slabF = ws.slabF[k:]
-	return out
-}
-
-// carveP returns k fresh zeroed ProcIDs off the workspace slab.
-func (ws *Workspace) carveP(k int) []appmodel.ProcID {
-	if len(ws.slabP) < k {
-		c := slabChunk
-		if k > c {
-			c = k
-		}
-		ws.slabP = make([]appmodel.ProcID, c)
-	}
-	out := ws.slabP[:k:k]
-	ws.slabP = ws.slabP[k:]
-	return out
 }
 
 // trace records the selection decisions of the last successful build so
@@ -434,23 +406,25 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 	tr.readyStep = tr.readyStep[:n]
 
 	// One slab carve backs the three per-process and two per-edge arrays;
-	// NodeOrder gets a single spine sized from the mapping histogram. The
-	// schedule stays independent of the workspace — carved regions are
-	// handed out exactly once — only the allocation count shrinks.
+	// the struct, the NodeOrder spine and its per-node slices (sized from
+	// the mapping histogram) come off slabs too. The schedule stays
+	// independent of the workspace — carved regions are handed out exactly
+	// once — only the allocation count shrinks.
 	m := len(in.Arch.Nodes)
 	ne := len(app.Edges)
-	fbuf := ws.carveF(3*n + 2*ne)
+	fbuf := ws.floats.Make(3*n + 2*ne)
 	msg := fbuf[3*n:]
 	for i := range msg {
 		msg[i] = math.NaN()
 	}
-	s := &Schedule{
+	s := ws.scheds.New()
+	*s = Schedule{
 		Start:       fbuf[0:n:n],
 		Finish:      fbuf[n : 2*n : 2*n],
 		WorstFinish: fbuf[2*n : 3*n : 3*n],
 		MsgStart:    msg[0:ne:ne],
 		MsgEnd:      msg[ne : 2*ne : 2*ne],
-		NodeOrder:   make([][]appmodel.ProcID, m),
+		NodeOrder:   ws.orders.Make(m),
 	}
 	if cap(ws.nodeCount) < m {
 		ws.nodeCount = make([]int, m)
@@ -462,7 +436,7 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 	for _, j := range in.Mapping {
 		counts[j]++
 	}
-	spine := ws.carveP(n)
+	spine := ws.procs.Make(n)
 	for j, off := 0, 0; j < m; j++ {
 		s.NodeOrder[j] = spine[off : off : off+counts[j]]
 		off += counts[j]
@@ -665,6 +639,34 @@ func busSlotEstimate(in Input) float64 {
 	start, end := in.Bus.Schedule(0, 0)
 	in.Bus.Reset()
 	return end - start
+}
+
+// Clone returns a deep copy of s that shares no memory with it. A schedule
+// built through a Workspace lives in the workspace's slab chunks; callers
+// that retain one beyond the workspace's owner (core.Run's Result) clone
+// it so the result does not pin whole chunks of other schedules.
+func (s *Schedule) Clone() *Schedule {
+	c := *s
+	fs := []*[]float64{&c.Start, &c.Finish, &c.WorstFinish, &c.MsgStart, &c.MsgEnd}
+	nf, np := 0, 0
+	for _, f := range fs {
+		nf += len(*f)
+	}
+	for _, o := range s.NodeOrder {
+		np += len(o)
+	}
+	fbuf := make([]float64, 0, nf)
+	for _, f := range fs {
+		fbuf = append(fbuf, *f...)
+		*f = fbuf[len(fbuf)-len(*f) : len(fbuf) : len(fbuf)]
+	}
+	pbuf := make([]appmodel.ProcID, 0, np)
+	c.NodeOrder = make([][]appmodel.ProcID, len(s.NodeOrder))
+	for j, o := range s.NodeOrder {
+		pbuf = append(pbuf, o...)
+		c.NodeOrder[j] = pbuf[len(pbuf)-len(o) : len(pbuf) : len(pbuf)]
+	}
+	return &c
 }
 
 // Schedulable reports whether every process completes, in the worst case,

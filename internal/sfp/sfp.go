@@ -89,19 +89,19 @@ func NewNode(probs []float64, maxK int) (*Node, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadProb, p)
 		}
 	}
-	n := &Node{probs: append([]float64(nil), probs...)}
+	// One backing array holds probs, prf and fail; prf doubles as the
+	// scratch for the h_f DP, since prf[f] is computed from h_f alone.
+	m, w := len(probs), maxK+1
+	buf := make([]float64, m+2*w)
+	ps, prf, fail := buf[:m:m], buf[m:m+w:m+w], buf[m+w:]
+	copy(ps, probs)
 	// Formula (1), rounded down.
 	pr0 := 1.0
 	for _, p := range probs {
 		pr0 *= 1 - p
 	}
-	n.pr0 = prob.FloorP(pr0)
-	h, err := prob.CompleteHomogeneous(probs, maxK)
-	if err != nil {
-		return nil, err
-	}
-	n.prf = make([]float64, maxK+1)
-	n.fail = make([]float64, maxK+1)
+	pr0 = prob.FloorP(pr0)
+	prob.CompleteHomogeneousInto(prf, probs) // h_f, replaced by Pr(f) below
 	// Formula (4) accumulated over k. The paper works in decimal with
 	// 1e-11 accuracy: every Pr(f) is rounded down and the residual
 	// 1 − Pr(0) − Σ Pr(f) is rounded up. Because all rounded quantities
@@ -110,16 +110,17 @@ func NewNode(probs []float64, maxK int) (*Node, error) {
 	// noise cannot push the residual across a tick boundary — this
 	// reproduces Appendix A.2 digit for digit.
 	const ticksPerUnit = int64(1e11)
-	// n.pr0 and n.prf are tick multiples up to one ulp; Round recovers the
+	// pr0 and prf are tick multiples up to one ulp; Round recovers the
 	// exact integer tick count.
-	residualTicks := ticksPerUnit - int64(math.Round(n.pr0*1e11))
-	n.fail[0] = clampTicks(residualTicks)
+	residualTicks := ticksPerUnit - int64(math.Round(pr0*1e11))
+	fail[0] = clampTicks(residualTicks)
+	prf[0] = 0 // h_0; index 0 is unused
 	for f := 1; f <= maxK; f++ {
-		n.prf[f] = prob.FloorP(n.pr0 * h[f])
-		residualTicks -= int64(math.Round(n.prf[f] * 1e11))
-		n.fail[f] = clampTicks(residualTicks)
+		prf[f] = prob.FloorP(pr0 * prf[f])
+		residualTicks -= int64(math.Round(prf[f] * 1e11))
+		fail[f] = clampTicks(residualTicks)
 	}
-	return n, nil
+	return &Node{probs: ps, pr0: pr0, prf: prf, fail: fail}, nil
 }
 
 // clampTicks converts a tick count (1 tick = 1e-11) into a probability in
