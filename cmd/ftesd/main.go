@@ -134,10 +134,11 @@ func run(args []string, stderr io.Writer) error {
 			return err
 		}
 	}
-	// The lifecycle event journal shares the daemon's durability story:
-	// with -state it is an append-only CRC-framed file that replays on
-	// restart, so /events?since=0 shows the fleet's history across
-	// crashes; without -state it lives in memory like everything else.
+	// The lifecycle event journal is the daemon's durability story: with
+	// -state it is an append-only CRC-framed file that replays on restart
+	// — the scheduler's only lifecycle record, and /events?since=0 shows
+	// the fleet's history across crashes; without -state it lives in
+	// memory like everything else.
 	var events *obs.EventLog
 	if *state != "" {
 		// The event journal opens before the scheduler (which would

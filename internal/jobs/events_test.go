@@ -22,6 +22,18 @@ func eventTypes(log *obs.EventLog, job string) []string {
 	return out
 }
 
+// durableEvents opens a durable event log under a fresh temp dir, closed
+// when the test ends; a scheduler with Options.Dir needs one.
+func durableEvents(t *testing.T) *obs.EventLog {
+	t.Helper()
+	log, err := obs.OpenEventLog(filepath.Join(t.TempDir(), "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	return log
+}
+
 // TestSchedulerEvents: a scheduler with an event log narrates every job's
 // lifecycle — submitted, started, done in order — plus dedup and failure
 // events, and the log survives a reopen with identical contents.
@@ -127,7 +139,7 @@ func traceSpanID(v any) (int64, bool) {
 // plus every worker's spans in separate process lanes, with every worker
 // root reconnected to the sweep span across the process boundary.
 func TestShardedSweepMergedTrace(t *testing.T) {
-	log := obs.NewEventLog()
+	log := durableEvents(t)
 	s := newTestScheduler(t, Options{Workers: 2, Dir: t.TempDir(), Events: log})
 	h, err := s.SubmitSharded(tinyFigSpec(), 2, SubmitOptions{})
 	if err != nil {

@@ -65,7 +65,7 @@ func TestWatchdogResubmitsStaleSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := obs.NewEventLog()
+	events := durableEvents(t)
 	s := newTestScheduler(t, Options{Workers: 1, Dir: t.TempDir(), Events: events})
 	dir, err := s.sweepDir(tinyFigSpec())
 	if err != nil {
@@ -115,7 +115,7 @@ func TestWatchdogResubmitsStaleSlice(t *testing.T) {
 // lease justifies exactly one resubmission — when the revived slice fails
 // again the error stands and the sweep fails loudly instead of looping.
 func TestWatchdogSingleRevival(t *testing.T) {
-	events := obs.NewEventLog()
+	events := durableEvents(t)
 	s := newTestScheduler(t, Options{
 		Workers: 1, Dir: t.TempDir(), Events: events,
 		Retry: &retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
@@ -177,7 +177,7 @@ func TestWatchdogSingleRevival(t *testing.T) {
 // scheduler's retry budget already governs in-process failures), so the
 // slice's failure stands.
 func TestWatchdogIgnoresOwnLease(t *testing.T) {
-	events := obs.NewEventLog()
+	events := durableEvents(t)
 	s := newTestScheduler(t, Options{Workers: 1, Dir: t.TempDir(), Events: events})
 	dir, err := s.sweepDir(tinyFigSpec())
 	if err != nil {

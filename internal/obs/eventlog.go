@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -73,20 +74,45 @@ func OpenEventLog(path string) (*EventLog, error) {
 	}
 	e := NewEventLog()
 	e.journal = j
-	for _, row := range j.RestoredRows() {
-		var ev LogEvent
-		if !j.Lookup(row.Key, &ev) {
-			continue
-		}
-		// Replay truncation is not counted as a drop: every replayed
-		// event is safely in the journal; Dropped tracks ring overflow
-		// only, which is what the SSE gap marker reports on.
+	// Replay truncation is not counted as a drop: every replayed event is
+	// safely in the journal; Dropped tracks ring overflow only, which is
+	// what the SSE gap marker reports on.
+	e.Replay(func(ev LogEvent, _ json.RawMessage) {
 		e.ring = appendRingLocked(e.ring, ev)
 		if ev.Seq > e.seq {
 			e.seq = ev.Seq
 		}
-	}
+	})
 	return e, nil
+}
+
+// Replay calls fn for every event the journal held when the log opened,
+// in journal order, with the payload its row carries (nil when none).
+// Events emitted since the open are not replayed, and a memory-only log
+// replays nothing.
+func (e *EventLog) Replay(fn func(ev LogEvent, payload json.RawMessage)) {
+	if e == nil || e.journal == nil {
+		return
+	}
+	for _, row := range e.journal.RestoredRows() {
+		var r struct {
+			LogEvent
+			Payload json.RawMessage `json:"payload"`
+		}
+		if json.Unmarshal(row.Data, &r) == nil {
+			fn(r.LogEvent, r.Payload)
+		}
+	}
+}
+
+// Durable reports whether the log journals its events to disk.
+func (e *EventLog) Durable() bool {
+	if e == nil {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.journal != nil
 }
 
 func appendRingLocked(ring []LogEvent, ev LogEvent) []LogEvent {
@@ -120,19 +146,49 @@ func (e *EventLog) Emit(typ, job string, fields map[string]any) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	e.seq++
-	ev := LogEvent{Seq: e.seq, TimeMS: e.now().UnixMilli(), Type: typ, Job: job, Fields: fields}
-	if e.journal != nil {
-		// Errors are deliberately swallowed (see doc comment); the in-memory
-		// stream stays consistent regardless.
-		_ = e.journal.Record(fmt.Sprintf("%016d", ev.Seq), ev)
+	// Errors are deliberately swallowed (see doc comment); the in-memory
+	// stream stays consistent regardless.
+	_ = e.record(typ, job, fields, nil, false)
+}
+
+// Record is Emit for an event that is also a durable record, journal
+// first: in durable mode the event and payload are fsynced as one row,
+// and only an event that reached the journal becomes visible — on a
+// journal error Record publishes nothing and returns the error. The
+// payload lives in the journal row alone (see Replay); the ring, Events
+// and /events never carry it. In memory-only mode Record is Emit.
+func (e *EventLog) Record(typ, job string, fields map[string]any, payload any) error {
+	if e == nil {
+		return nil
 	}
+	return e.record(typ, job, fields, payload, true)
+}
+
+// record journals (in durable mode) and then publishes one event. A
+// strict record publishes only what reached the journal.
+func (e *EventLog) record(typ, job string, fields map[string]any, payload any, strict bool) error {
+	e.mu.Lock()
+	ev := LogEvent{Seq: e.seq + 1, TimeMS: e.now().UnixMilli(), Type: typ, Job: job, Fields: fields}
+	var err error
+	if e.journal != nil {
+		// The payload rides beside the event in its journal row only.
+		row := struct {
+			LogEvent
+			Payload any `json:"payload,omitempty"`
+		}{ev, payload}
+		err = e.journal.Record(fmt.Sprintf("%016d", ev.Seq), row)
+		if err != nil && strict {
+			e.mu.Unlock()
+			return err
+		}
+	}
+	e.seq = ev.Seq
 	e.appendRing(ev)
 	ch := e.changed
 	e.changed = make(chan struct{})
 	e.mu.Unlock()
 	close(ch)
+	return err
 }
 
 // MeterDropped attaches a counter (typically a registry's
