@@ -187,3 +187,31 @@ func TestDaemonEventsSSE(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestMetricsExportEventsDropped: events the replay ring evicts are
+// counted on the daemon registry and exported as events_dropped_total.
+func TestMetricsExportEventsDropped(t *testing.T) {
+	events := obs.NewEventLog()
+	defer events.Close()
+	srv, _ := newTestServer(t, jobs.Options{Workers: 1, Events: events})
+
+	const ring, extra = 4096, 7
+	for i := 0; i < ring+extra; i++ {
+		events.Emit("tick", "", nil)
+	}
+	code, prom := get(t, srv.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	var dropped int64 = -1
+	for _, line := range strings.Split(string(prom), "\n") {
+		if v, ok := strings.CutPrefix(line, "events_dropped_total "); ok {
+			if err := json.Unmarshal([]byte(v), &dropped); err != nil {
+				t.Fatalf("events_dropped_total value %q: %v", v, err)
+			}
+		}
+	}
+	if want := events.Dropped(); dropped != want || want < extra {
+		t.Errorf("events_dropped_total = %d, want %d (≥ %d):\n%s", dropped, want, extra, prom)
+	}
+}

@@ -231,6 +231,9 @@ func newDaemon(sched *jobs.Scheduler, reg *obs.Registry, lg *obs.Logger, jobTime
 	d := &daemon{sched: sched, reg: reg, lg: lg, jobTimeout: jobTimeout,
 		events: events, sampler: sampler, mux: http.NewServeMux(),
 		sweeps: make(map[string]*jobs.ShardedHandle)}
+	// Ring evictions a slow /events watcher could not replay are exported
+	// as events_dropped_total.
+	events.MeterDropped(reg.Counter("events.dropped"))
 	d.mux.HandleFunc("POST /jobs", d.submit)
 	d.mux.HandleFunc("GET /jobs", d.list)
 	d.mux.HandleFunc("GET /jobs/{id}", d.status)
@@ -264,7 +267,6 @@ type submitRequest struct {
 	Procs        []int   `json:"procs,omitempty"`
 	Seed         int64   `json:"seed,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-	RunWorkers   int     `json:"run_workers,omitempty"`
 	AppTimeoutMs float64 `json:"app_timeout_ms,omitempty"`
 	Markdown     bool    `json:"markdown,omitempty"`
 	// Shards > 1 fans the figure out as a sharded sweep: one job per
@@ -315,7 +317,7 @@ func (d *daemon) submit(w http.ResponseWriter, r *http.Request) {
 	spec := jobs.Spec{
 		Kind: req.Kind,
 		Fig:  req.Fig, Apps: req.Apps, Procs: req.Procs, Seed: req.Seed,
-		Workers: req.Workers, RunWorkers: req.RunWorkers,
+		Workers:    req.Workers,
 		AppTimeout: time.Duration(req.AppTimeoutMs * float64(time.Millisecond)),
 		Markdown:   req.Markdown,
 		Design:     req.Spec, Strategy: req.Strategy, MaxCost: req.MaxCost, Slack: req.Slack,

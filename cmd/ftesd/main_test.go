@@ -216,6 +216,18 @@ func TestSubmitErrors(t *testing.T) {
 			t.Errorf("POST %q = %d, want 400", body, code)
 		}
 	}
+	// run_workers, which older clients sent to parallelize inside each
+	// design run, is an unknown field now: refused by name, never ignored.
+	resp, err := http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"kind":"figure","fig":"cc","run_workers":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte(`run_workers`)) {
+		t.Errorf("POST with run_workers = %d %s, want 400 naming the field", resp.StatusCode, msg)
+	}
 	if code, _ := get(t, srv.URL+"/jobs/nope"); code != http.StatusNotFound {
 		t.Errorf("GET unknown job = %d, want 404", code)
 	}

@@ -210,9 +210,6 @@ type (
 	// mapping and design-strategy layers. One Evaluator serves one
 	// goroutine.
 	Evaluator = evalengine.Evaluator
-	// ConcurrentEvaluator is the multi-goroutine evaluation engine: N
-	// worker Evaluators over shared caches.
-	ConcurrentEvaluator = evalengine.Concurrent
 	// EvaluatorStats are the engine's instrumentation counters.
 	EvaluatorStats = evalengine.Stats
 )
@@ -235,19 +232,6 @@ func OptimizeMappingWith(ev *Evaluator, initial []int, cf MappingCostFunction, p
 	return mapping.Optimize(ev, initial, cf, params)
 }
 
-// NewConcurrentEvaluator returns an evaluation engine with the given
-// number of workers bound to p; workers ≤ 1 behaves like NewEvaluator.
-func NewConcurrentEvaluator(p RedundancyProblem, workers int) *ConcurrentEvaluator {
-	return evalengine.NewConcurrent(p, workers)
-}
-
-// OptimizeMappingConcurrent runs the tabu-search mapping optimization
-// with the neighborhood evaluated on the engine's workers. The result is
-// identical to the sequential OptimizeMappingWith on the same problem.
-func OptimizeMappingConcurrent(ce *ConcurrentEvaluator, initial []int, cf MappingCostFunction, params MappingParams) (*MappingResult, error) {
-	return mapping.OptimizeConcurrent(ce, initial, cf, params)
-}
-
 // OptimizeMappingContext is OptimizeMappingWith under a context: the
 // search consults ctx between tabu iterations and, once it is done,
 // returns the best mapping found so far together with an error wrapping
@@ -255,13 +239,6 @@ func OptimizeMappingConcurrent(ce *ConcurrentEvaluator, initial []int, cf Mappin
 // cancellation point.
 func OptimizeMappingContext(ctx context.Context, ev *Evaluator, initial []int, cf MappingCostFunction, params MappingParams) (*MappingResult, error) {
 	return mapping.OptimizeContext(ctx, ev, initial, cf, params)
-}
-
-// OptimizeMappingConcurrentContext is OptimizeMappingConcurrent under a
-// context, with the same partial-result contract as
-// OptimizeMappingContext.
-func OptimizeMappingConcurrentContext(ctx context.Context, ce *ConcurrentEvaluator, initial []int, cf MappingCostFunction, params MappingParams) (*MappingResult, error) {
-	return mapping.OptimizeConcurrentContext(ctx, ce, initial, cf, params)
 }
 
 // Design strategy (Fig. 5).
@@ -307,8 +284,6 @@ func Run(app *Application, pl *Platform, opts Options) (*Result, error) {
 // bit-identical evaluation arithmetic) and, once ctx is done, returns
 // the best complete solution found so far together with an error
 // wrapping ErrCanceled; the interrupted candidate is discarded whole.
-// A panic in a worker goroutine surfaces as a *PanicError instead of
-// crashing the process.
 func RunContext(ctx context.Context, app *Application, pl *Platform, opts Options) (*Result, error) {
 	return core.RunContext(ctx, app, pl, opts)
 }

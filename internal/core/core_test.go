@@ -3,8 +3,11 @@ package core
 import (
 	"testing"
 
+	"repro/internal/appmodel"
 	"repro/internal/paper"
+	"repro/internal/platform"
 	"repro/internal/sfp"
+	"repro/internal/taskgen"
 )
 
 func fig1Opts(s Strategy) Options {
@@ -101,39 +104,50 @@ func TestFig1Strategies(t *testing.T) {
 	}
 }
 
-// TestMaxCostPruning: OPT on Fig. 1 finds cost ≤ 72; with a budget below
-// that cost the run must report infeasible, with a budget just above it
-// the same solution must be found.
+// TestMaxCostPruning: a budget at or below the unbounded optimum must
+// leave the run infeasible, and any budget above it must find the same
+// optimum. Fig. 1 is probed at the paper's ArC-style round budgets too,
+// and a synthetic application exercises the evolving best-cost prune
+// across several size classes.
 func TestMaxCostPruning(t *testing.T) {
-	app := paper.Fig1Application()
-	pl := paper.Fig1Platform()
-
-	unbounded, err := Run(app, pl, fig1Opts(OPT))
+	inst, err := taskgen.Generate(taskgen.DefaultConfig(300, 10, 1e-11, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !unbounded.Feasible {
-		t.Fatal("unbounded OPT infeasible")
+	cases := []struct {
+		label   string
+		app     *appmodel.Application
+		pl      *platform.Platform
+		opts    Options
+		budgets []float64
+	}{
+		{"fig1", paper.Fig1Application(), paper.Fig1Platform(), fig1Opts(OPT), []float64{20, 72, 200}},
+		{"synthetic-10", inst.App, inst.Platform, Options{Goal: inst.Goal}, nil},
 	}
-
-	tight := fig1Opts(OPT)
-	tight.MaxCost = unbounded.Cost - 1
-	res, err := Run(app, pl, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Feasible {
-		t.Errorf("budget %v below optimum %v should be infeasible", tight.MaxCost, unbounded.Cost)
-	}
-
-	loose := fig1Opts(OPT)
-	loose.MaxCost = unbounded.Cost + 1
-	res, err = Run(app, pl, loose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible || res.Cost != unbounded.Cost {
-		t.Errorf("budget %v: feasible=%v cost=%v, want optimum %v", loose.MaxCost, res.Feasible, res.Cost, unbounded.Cost)
+	for _, c := range cases {
+		unbounded, err := Run(c.app, c.pl, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !unbounded.Feasible {
+			t.Fatalf("%s: unbounded OPT infeasible", c.label)
+		}
+		opt := unbounded.Cost
+		for _, budget := range append([]float64{opt - 1, opt, opt + 1}, c.budgets...) {
+			opts := c.opts
+			opts.MaxCost = budget
+			res, err := Run(c.app, c.pl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if budget <= opt {
+				if res.Feasible {
+					t.Errorf("%s: budget %v ≤ optimum %v found cost %v", c.label, budget, opt, res.Cost)
+				}
+			} else if !res.Feasible || res.Cost != opt {
+				t.Errorf("%s: budget %v: feasible=%v cost=%v, want optimum %v", c.label, budget, res.Feasible, res.Cost, opt)
+			}
+		}
 	}
 }
 

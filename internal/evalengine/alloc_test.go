@@ -46,7 +46,7 @@ func allocProblem(t *testing.T, n int) (redundancy.Problem, [][]int) {
 }
 
 // TestAllocsHitPaths pins the cache hit paths at zero allocations: an
-// Evaluate hit, a RedundancyOpt hit and an SFPCache hit.
+// Evaluate hit, a RedundancyOpt hit and an SFP cache hit.
 func TestAllocsHitPaths(t *testing.T) {
 	p, maps := allocProblem(t, 1)
 	m := maps[0]
@@ -67,11 +67,11 @@ func TestAllocsHitPaths(t *testing.T) {
 	node := p.Arch.Nodes[0]
 	level, pids := levels[:1], ev.buckets[0]
 	h := hashInts(hashInts(hashSeed, level), pids)
-	if _, ok := ev.st.sfp.get(node, h, level, pids); !ok {
+	if _, ok := ev.st.sfp.get(sfpKey{node, h}, level, pids); !ok {
 		t.Fatal("SFP analysis of the evaluated mapping is not cached")
 	}
-	if a := testing.AllocsPerRun(200, func() { ev.st.sfp.get(node, h, level, pids) }); a != 0 {
-		t.Errorf("SFPCache hit: %v allocs, want 0", a)
+	if a := testing.AllocsPerRun(200, func() { ev.st.sfp.get(sfpKey{node, h}, level, pids) }); a != 0 {
+		t.Errorf("SFP cache hit: %v allocs, want 0", a)
 	}
 }
 
@@ -82,16 +82,17 @@ func TestAllocsEvaluateMiss(t *testing.T) {
 	const warm, measured = 1000, 2000
 	p, maps := allocProblem(t, warm+measured)
 	levels := []int{1, 1}
-	// A first engine fills the shared SFP cache, so the measured engine's
-	// misses build schedules but no node analyses.
-	sfpc := NewSFPCache()
-	filler := NewConcurrentWith(p, 1, sfpc).Worker(0)
+	// A first engine fills an SFP cache the measured engine then adopts,
+	// so the measured engine's misses build schedules but no node
+	// analyses.
+	filler := New(p)
 	for _, m := range maps {
 		if _, err := filler.Evaluate(m, levels); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ev := NewConcurrentWith(p, 1, sfpc).Worker(0)
+	ev := New(p)
+	ev.st.sfp = filler.st.sfp
 	i := 0
 	next := func() {
 		if _, err := ev.Evaluate(maps[i], levels); err != nil {

@@ -3,7 +3,6 @@ package evalengine
 import (
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/evalcache"
@@ -14,17 +13,11 @@ import (
 	"repro/internal/slab"
 )
 
-// The caches are sharded so that workers of a Concurrent engine mostly
-// lock disjoint shards. 16 shards keeps contention negligible at the
-// worker counts that make sense here (≤ GOMAXPROCS) while costing nothing
-// when a single goroutine owns the engine.
-const nShards = 16
-
 // Every cache key is a vector of small ints — (levels, mapping) for a
 // solution, the mapping for a RedundancyOpt result, (level, process set)
 // for an SFP node analysis — and the caches index it by a 64-bit hash of
-// those ints instead of an encoded string. The hash picks the shard and
-// the map slot; the entry stores the full key, and every hit confirms it,
+// those ints instead of an encoded string. The hash picks the map slot;
+// the entry stores the full key, and every hit confirms it,
 // so two keys that collide on the hash share a slot as a chain and a
 // collision costs one extra comparison, never a wrong answer.
 //
@@ -84,37 +77,25 @@ type chain[V any] struct {
 	next *chain[V]
 }
 
-// table is a sharded, hash-keyed map from int-vector keys to values. K is
-// the map key: the hash itself, or the hash plus whatever else scopes the
-// key (the SFP cache adds the node type). Concurrent same-key computations
-// are benign: both workers derive the identical value from the same
-// inputs, and the first put wins.
+// table is a hash-keyed map from int-vector keys to values. K is the map
+// key: the hash itself, or the hash plus whatever else scopes the key (the
+// SFP cache adds the node type). A table belongs to one engine and is
+// used by one goroutine; only the entry count is atomic, because the
+// live gauges read it from the /metrics scrape goroutine.
 type table[K comparable, V any] struct {
-	shards   [nShards]tableShard[K, V]
-	shardCap int // per-shard entry backstop; one counted victim evicted at cap
-}
-
-type tableShard[K comparable, V any] struct {
-	mu sync.RWMutex
-	m  map[K]chain[V]
-	n  int // entries, chained ones included
+	m   map[K]chain[V]
+	n   atomic.Int64 // entries, chained ones included
+	cap int          // entry backstop; one counted victim evicted at cap
 }
 
 func newTable[K comparable, V any](totalCap int) *table[K, V] {
-	t := &table[K, V]{shardCap: totalCap / nShards}
-	for i := range t.shards {
-		t.shards[i].m = make(map[K]chain[V])
-	}
-	return t
+	return &table[K, V]{m: make(map[K]chain[V]), cap: totalCap}
 }
 
-// get returns the value stored under the key a ++ b, whose hash is h and
-// map key k. It allocates nothing.
-func (t *table[K, V]) get(h uint64, k K, a, b []int) (V, bool) {
-	sh := &t.shards[h%nShards]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	c, ok := sh.m[k]
+// get returns the value stored under the key a ++ b, whose map key is k.
+// It allocates nothing.
+func (t *table[K, V]) get(k K, a, b []int) (V, bool) {
+	c, ok := t.m[k]
 	for p := &c; ok && p != nil; p = p.next {
 		if keyEq(p.key, a, b) {
 			return p.val, true
@@ -125,33 +106,30 @@ func (t *table[K, V]) get(h uint64, k K, a, b []int) (V, bool) {
 }
 
 // put inserts the entry unless its key is already resident, reporting how
-// many entries were evicted to stay under the shard cap. The table keeps
-// key as the stored key; the caller must not modify it afterwards.
-// Eviction is counted, one victim at a time (an arbitrary resident entry —
-// the keys are content hashes, so any victim is as good as any other): the
+// many entries were evicted to stay under the cap. The table keeps key as
+// the stored key; the caller must not modify it afterwards. Eviction is
+// counted, one victim at a time (an arbitrary resident entry — the keys
+// are content hashes, so any victim is as good as any other): the
 // incoming entry is always kept and at most one resident is displaced.
-func (t *table[K, V]) put(h uint64, k K, key []uint16, v V) (evicted int64) {
-	sh := &t.shards[h%nShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c, ok := sh.m[k]
+func (t *table[K, V]) put(k K, key []uint16, v V) (evicted int64) {
+	c, ok := t.m[k]
 	for p := &c; ok && p != nil; p = p.next {
 		if slices.Equal(p.key, key) {
 			return 0
 		}
 	}
-	if sh.n >= t.shardCap && sh.n > 0 {
-		for vk, vc := range sh.m {
+	if n := t.n.Load(); n >= int64(t.cap) && n > 0 {
+		for vk, vc := range t.m {
 			if vc.next != nil {
-				sh.m[vk] = *vc.next
+				t.m[vk] = *vc.next
 			} else {
-				delete(sh.m, vk)
+				delete(t.m, vk)
 			}
 			break
 		}
-		sh.n--
+		t.n.Add(-1)
 		evicted++
-		c, ok = sh.m[k]
+		c, ok = t.m[k]
 	}
 	if ok {
 		rest := c
@@ -159,48 +137,28 @@ func (t *table[K, V]) put(h uint64, k K, key []uint16, v V) (evicted int64) {
 	} else {
 		c = chain[V]{key: key, val: v}
 	}
-	sh.m[k] = c
-	sh.n++
+	t.m[k] = c
+	t.n.Add(1)
 	return evicted
 }
 
-// each calls f for every entry. It takes the shard locks, so it is for
-// snapshots, not hot paths; f must not call back into the table.
+// each calls f for every entry; f must not call back into the table.
 func (t *table[K, V]) each(f func(key []uint16, v V)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for _, c := range sh.m {
-			for p := &c; p != nil; p = p.next {
-				f(p.key, p.val)
-			}
+	for _, c := range t.m {
+		for p := &c; p != nil; p = p.next {
+			f(p.key, p.val)
 		}
-		sh.mu.RUnlock()
 	}
 }
 
 func (t *table[K, V]) clear() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[K]chain[V])
-		sh.n = 0
-		sh.mu.Unlock()
-	}
+	t.m = make(map[K]chain[V])
+	t.n.Store(0)
 }
 
-// size returns the current entry count across all shards. It takes the
-// shard locks, so it is for observation (gauges), not hot paths.
-func (t *table[K, V]) size() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		n += sh.n
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// size returns the current entry count. It is safe to call from any
+// goroutine.
+func (t *table[K, V]) size() int { return int(t.n.Load()) }
 
 // solCache maps a solution key — (levels, mapping), or the mapping alone
 // for RedundancyOpt results — to the memoized solution. The map key is
@@ -209,61 +167,30 @@ type solCache = table[uint64, *redundancy.Solution]
 
 func newSolCache(totalCap int) *solCache { return newTable[uint64, *redundancy.Solution](totalCap) }
 
-// SFPCache is the concurrency-safe per-node-type SFP analysis cache:
-// (node type, hardening level, mapped process set) → *sfp.Node. It is the
-// expensive, highly reusable layer of the evaluation pipeline — node
-// types recur across candidate architectures — so core.Run shares one
-// SFPCache across the engines of all concurrently probed architectures
-// (NewConcurrentWith). sfp.Node values are immutable after construction,
-// which is what makes sharing them safe.
-type SFPCache struct {
-	t *table[sfpKey, *sfp.Node]
-}
+// sfpCache is the per-node-type SFP analysis cache: (node type,
+// hardening level, mapped process set) → *sfp.Node. It is the expensive,
+// highly reusable layer of the evaluation pipeline — node types recur
+// across candidate architectures — so it survives the SetProblem rebinds
+// that drop the solution caches. sfp.Node values are immutable after
+// construction.
+type sfpCache = table[sfpKey, *sfp.Node]
 
-// sfpKey scopes the (level, process set) hash to one node type.
+// sfpKey scopes the hash of (level, process set) to one node type.
 type sfpKey struct {
 	node *platform.Node
 	h    uint64
 }
 
-// NewSFPCache returns an empty cache, ready to be shared across engines.
-func NewSFPCache() *SFPCache {
-	return &SFPCache{t: newTable[sfpKey, *sfp.Node](maxSFPEntries)}
-}
+func newSFPCache() *sfpCache { return newTable[sfpKey, *sfp.Node](maxSFPEntries) }
 
-// get looks up the analysis for node n at the given level with the given
-// mapped processes; h is hashInts over (level, pids). It allocates
-// nothing.
-func (c *SFPCache) get(n *platform.Node, h uint64, level, pids []int) (*sfp.Node, bool) {
-	return c.t.get(h, sfpKey{n, h}, level, pids)
-}
-
-// put inserts the analysis under key = (level, pids...), reporting how
-// many resident entries were evicted to stay under the shard cap.
-func (c *SFPCache) put(n *platform.Node, h uint64, key []uint16, nd *sfp.Node) (evicted int64) {
-	return c.t.put(h, sfpKey{n, h}, key, nd)
-}
-
-func (c *SFPCache) reset() { c.t.clear() }
-
-// workerCounters attributes engine work to one worker of a Concurrent
-// engine. Padded to a cache line so workers incrementing their own slot do
-// not false-share.
-type workerCounters struct {
-	evaluations atomic.Int64
-	cacheMisses atomic.Int64
-	_           [48]byte
-}
-
-// store bundles the caches and counters shared by every Evaluator of one
-// engine: a solo Evaluator owns a private store; a Concurrent engine hands
-// the same store to all its workers.
+// store bundles an Evaluator's caches and counters. The counters are
+// atomics because the live gauges and Stats may be read from other
+// goroutines (the /metrics scrape) while the engine runs.
 type store struct {
-	sols      *solCache // (levels, mapping) → solution
-	opts      *solCache // mapping → RedundancyOpt result
-	sfp       *SFPCache
-	stats     atomicStats
-	perWorker []workerCounters
+	sols  *solCache // (levels, mapping) → solution
+	opts  *solCache // mapping → RedundancyOpt result
+	sfp   *sfpCache
+	stats atomicStats
 
 	// persist is the optional disk-backed cache behind warm starts;
 	// persistFP is the problem fingerprint the current solution caches
@@ -273,8 +200,7 @@ type store struct {
 	persistFP     string
 	persistSeeded int
 
-	// progress is the optional live-progress publisher; like metrics it is
-	// store-level state shared by every worker of a Concurrent engine.
+	// progress is the optional live-progress publisher.
 	progress *obs.Progress
 
 	// metrics is the optional live-instrumentation sink; the histograms are
@@ -307,15 +233,11 @@ func (st *store) liveGaugeValues() [len(liveGaugeNames)]float64 {
 	}
 }
 
-func newStore(sfpc *SFPCache, workers int) *store {
-	if workers < 1 {
-		workers = 1
-	}
+func newStore() *store {
 	return &store{
-		sols:      newSolCache(maxSolutionEntries),
-		opts:      newSolCache(maxOptEntries),
-		sfp:       sfpc,
-		perWorker: make([]workerCounters, workers),
+		sols: newSolCache(maxSolutionEntries),
+		opts: newSolCache(maxOptEntries),
+		sfp:  newSFPCache(),
 	}
 }
 
@@ -360,32 +282,6 @@ func (st *store) retireMetrics() {
 	for i, name := range liveGaugeNames {
 		r.Gauge(name).Set(vals[i])
 	}
-}
-
-// resetStats zeroes the engine-wide and per-worker counters.
-func (st *store) resetStats() {
-	st.stats.reset()
-	for i := range st.perWorker {
-		st.perWorker[i].evaluations.Store(0)
-		st.perWorker[i].cacheMisses.Store(0)
-	}
-}
-
-// snapshotStats renders the engine-wide Stats, with per-worker attribution
-// when the engine has more than one worker.
-func (st *store) snapshotStats() Stats {
-	s := st.stats.snapshot()
-	if len(st.perWorker) > 1 {
-		s.PerWorker = make([]WorkerStats, len(st.perWorker))
-		for i := range st.perWorker {
-			w := &st.perWorker[i]
-			s.PerWorker[i] = WorkerStats{
-				Evaluations: w.evaluations.Load(),
-				CacheMisses: w.cacheMisses.Load(),
-			}
-		}
-	}
-	return s
 }
 
 func (st *store) dropSolutions() {

@@ -28,13 +28,10 @@
 // exact arithmetic of the uncached path (enforced by
 // TestEvaluatorMatchesFresh).
 //
-// An Evaluator is a single-goroutine handle: its scratch buffers and slabs
-// (schedule workspace, solution and key slabs, bus) are not safe for
-// concurrent use. The caches behind it are concurrency-safe and shared —
-// NewConcurrent builds an engine with one Evaluator per worker over the
-// same caches, so parallel design-space exploration (package mapping,
-// package core) reuses exactly what the sequential path reuses. See
-// concurrent.go.
+// An Evaluator is a single-goroutine handle: its caches, scratch buffers
+// and slabs (schedule workspace, solution and key slabs, bus) are not safe
+// for concurrent use. Only its counters and cache sizes may be read from
+// another goroutine, which is what the live /metrics gauges do.
 package evalengine
 
 import (
@@ -50,7 +47,7 @@ import (
 	"repro/internal/slab"
 )
 
-// Cache-size backstops: a put into a full cache shard evicts one counted
+// Cache-size backstops: a put into a full cache evicts one counted
 // victim (Stats.Evictions); correctness is unaffected — entries are pure
 // memoization. The caps are far above what a single architecture's search
 // touches; they only bound pathological runs.
@@ -67,22 +64,15 @@ const (
 // node cache survives SetProblem (node types recur across candidate
 // architectures); the solution caches are dropped whenever an input that
 // affects them changes.
-//
-// The caches and counters live in a store that may be shared by several
-// workers (see Concurrent); the per-Evaluator fields below are scratch
-// owned by one goroutine.
 type Evaluator struct {
 	prob   redundancy.Problem
 	period float64
 
-	st *store // shared caches + instrumentation
+	st *store // caches + instrumentation
 
 	// span is the observability scope expensive work (RedundancyOpt cache
-	// misses) is recorded under; wid is this worker's slot in the shared
-	// per-worker counters. Both are per-goroutine scratch like the buffers
-	// below.
+	// misses) is recorded under.
 	span *obs.Span
-	wid  int
 
 	ws       sched.Workspace
 	buckets  [][]int   // per arch node: pids mapped on it, ascending
@@ -93,7 +83,7 @@ type Evaluator struct {
 	// its Levels and Ks, and the stored cache keys — the way the workspace
 	// carves schedules: one chunk per many misses instead of several
 	// objects per miss. Carved regions are handed out once and then owned
-	// by the shared caches. SFP keys get a slab of their own: the SFP
+	// by the caches. SFP keys get a slab of their own: the SFP
 	// cache outlives the solution caches across SetProblem, and its keys
 	// must not pin chunks full of dropped solution keys.
 	sols    slab.Slab[redundancy.Solution]
@@ -109,7 +99,7 @@ type Evaluator struct {
 	// lastMapping/lastLevels memoize the previous analysisFor call: a
 	// hardening search probes many level vectors under one fixed mapping,
 	// so most per-node analyses are the ones already in anodesBuf and can
-	// be reused without touching the shared cache at all. Cleared on any
+	// be reused without touching the SFP cache at all. Cleared on any
 	// problem change or analysisFor error.
 	lastMapping []int
 	lastLevels  []int
@@ -118,16 +108,15 @@ type Evaluator struct {
 // New returns an Evaluator for the given problem. The problem's Mapping
 // field is ignored — mappings are per-call inputs.
 func New(p redundancy.Problem) *Evaluator {
-	e := &Evaluator{st: newStore(NewSFPCache(), 1)}
+	e := &Evaluator{st: newStore()}
 	e.set(p)
 	return e
 }
 
 // SetTraceSpan installs the span this evaluator's expensive operations
 // (RedundancyOpt cache misses) are recorded under as child spans; nil
-// disables recording. The span is per-Evaluator scratch — in a Concurrent
-// engine each worker carries its own — so callers swap it per phase the
-// way they swap problems.
+// disables recording. Callers swap it per phase the way they swap
+// problems.
 func (e *Evaluator) SetTraceSpan(s *obs.Span) { e.span = s }
 
 // TraceSpan returns the currently installed span (nil when disabled).
@@ -135,8 +124,7 @@ func (e *Evaluator) TraceSpan() *obs.Span { return e.span }
 
 // SetMetrics installs the registry the engine's duration histograms
 // (evalengine.reexec, evalengine.sched, evalengine.redundancy_opt) are
-// recorded into; nil disables them. The registry is store-level state,
-// shared by every worker of a Concurrent engine.
+// recorded into; nil disables them.
 func (e *Evaluator) SetMetrics(r *obs.Registry) { e.st.setMetrics(r) }
 
 // RetireMetrics detaches the installed registry at the end of the
@@ -150,8 +138,7 @@ func (e *Evaluator) MetricsRegistry() *obs.Registry { return e.st.metrics }
 
 // SetProgress installs the live-progress publisher instrumented loops
 // above the engine (the tabu search's per-iteration ticks) publish into;
-// nil disables publication. Like the registry it is store-level state,
-// shared by every worker of a Concurrent engine.
+// nil disables publication.
 func (e *Evaluator) SetProgress(p *obs.Progress) { e.st.progress = p }
 
 // Progress returns the installed publisher (nil when disabled).
@@ -160,13 +147,11 @@ func (e *Evaluator) Progress() *obs.Progress { return e.st.progress }
 // Problem returns the problem the evaluator is currently bound to.
 func (e *Evaluator) Problem() redundancy.Problem { return e.prob }
 
-// Stats returns a snapshot of the instrumentation counters. When the
-// evaluator is a worker of a Concurrent engine the counters cover the
-// whole engine, not just this worker.
-func (e *Evaluator) Stats() Stats { return e.st.snapshotStats() }
+// Stats returns a snapshot of the instrumentation counters.
+func (e *Evaluator) Stats() Stats { return e.st.stats.snapshot() }
 
 // ResetStats zeroes the instrumentation counters (the caches are kept).
-func (e *Evaluator) ResetStats() { e.st.resetStats() }
+func (e *Evaluator) ResetStats() { e.st.stats.reset() }
 
 // SetProblem rebinds the evaluator to p, invalidating exactly what the
 // change invalidates: a new application or re-execution cap drops
@@ -180,33 +165,19 @@ func (e *Evaluator) ResetStats() { e.st.resetStats() }
 // solution caches first flushes them under the outgoing problem's
 // fingerprint and then seeds them from the incoming one's entry.
 func (e *Evaluator) SetProblem(p redundancy.Problem) {
-	willDrop := e.willDropSolutions(p)
-	if willDrop {
+	newApp := e.prob.App != p.App || e.prob.MaxK != p.MaxK
+	drop := newApp || !e.compatible(p)
+	if drop {
 		e.st.flushPersistent()
+		if newApp {
+			e.st.sfp.clear()
+		}
+		e.st.dropSolutions()
 	}
-	e.invalidateFor(p)
 	e.set(p)
-	if willDrop && e.st.persist != nil {
+	if drop && e.st.persist != nil {
 		fp, _ := problemFingerprint(p)
 		e.st.loadPersistent(fp)
-	}
-}
-
-// willDropSolutions reports whether rebinding to p will drop the solution
-// caches (the condition invalidateFor acts on).
-func (e *Evaluator) willDropSolutions(p redundancy.Problem) bool {
-	return e.prob.App != p.App || e.prob.MaxK != p.MaxK || !e.compatible(p)
-}
-
-// invalidateFor drops whatever caches binding to p invalidates, without
-// rebinding. Concurrent.SetProblem runs it once before rebinding every
-// worker.
-func (e *Evaluator) invalidateFor(p redundancy.Problem) {
-	if e.prob.App != p.App || e.prob.MaxK != p.MaxK {
-		e.st.sfp.reset()
-		e.st.dropSolutions()
-	} else if !e.compatible(p) {
-		e.st.dropSolutions()
 	}
 }
 
@@ -275,19 +246,17 @@ func (e *Evaluator) maxK() int {
 func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.evaluations.Add(1)
-	st.perWorker[e.wid].evaluations.Add(1)
 	h := hashInts(hashInts(hashSeed, levels), mapping)
-	if sol, ok := st.sols.get(h, h, levels, mapping); ok {
+	if sol, ok := st.sols.get(h, levels, mapping); ok {
 		st.stats.cacheHits.Add(1)
 		return sol, nil
 	}
 	st.stats.cacheMisses.Add(1)
-	st.perWorker[e.wid].cacheMisses.Add(1)
 	sol, err := e.evaluate(mapping, levels)
 	if err != nil {
 		return nil, err
 	}
-	if ev := st.sols.put(h, h, makeKey(&e.keys, levels, mapping), sol); ev > 0 {
+	if ev := st.sols.put(h, makeKey(&e.keys, levels, mapping), sol); ev > 0 {
 		st.stats.evictions.Add(ev)
 	}
 	return sol, nil
@@ -368,7 +337,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	// A repeated mapping (the common case: hardening searches probe many
 	// level vectors under one fixed mapping) keeps its process buckets,
 	// and every node whose level is also unchanged keeps the analysis
-	// already sitting in anodesBuf — no key hash, no shared-cache lookup.
+	// already sitting in anodesBuf — no key hash, no SFP-cache lookup.
 	sameMap := slices.Equal(e.lastMapping, mapping) && len(e.lastLevels) == len(nodes)
 	if !sameMap {
 		for j := range e.buckets {
@@ -388,9 +357,9 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	anodes := e.anodesBuf[:len(nodes)]
 	for j, n := range nodes {
 		if sameMap && levels[j] == e.lastLevels[j] && anodes[j] != nil {
-			// Still a cache hit observably — the shared cache holds this
+			// Still a cache hit observably — the SFP cache holds this
 			// entry and would have returned it; the memo only skips the
-			// hash-and-lock round trip.
+			// hash-and-lookup round trip.
 			e.st.stats.sfpHits.Add(1)
 			continue
 		}
@@ -401,7 +370,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 		}
 		level, pids := levels[j:j+1], e.buckets[j]
 		h := hashInts(hashInts(hashSeed, level), pids)
-		if nd, ok := e.st.sfp.get(n, h, level, pids); ok {
+		if nd, ok := e.st.sfp.get(sfpKey{n, h}, level, pids); ok {
 			e.st.stats.sfpHits.Add(1)
 			anodes[j] = nd
 			continue
@@ -417,7 +386,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 			return nil, fmt.Errorf("evalengine: node %d: %w", j, err)
 		}
 		e.st.stats.sfpBuilds.Add(1)
-		if ev := e.st.sfp.put(n, h, makeKey(&e.sfpKeys, level, pids), nd); ev > 0 {
+		if ev := e.st.sfp.put(sfpKey{n, h}, makeKey(&e.sfpKeys, level, pids), nd); ev > 0 {
 			e.st.stats.evictions.Add(ev)
 		}
 		anodes[j] = nd
@@ -438,7 +407,7 @@ func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.optRuns.Add(1)
 	h := hashInts(hashSeed, mapping)
-	if sol, ok := st.opts.get(h, h, mapping, nil); ok {
+	if sol, ok := st.opts.get(h, mapping, nil); ok {
 		st.stats.optHits.Add(1)
 		return sol, nil
 	}
@@ -463,7 +432,7 @@ func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 		obs.Bool("feasible", sol.Reliable && sol.Schedulable),
 	)
 	sp.End()
-	if ev := st.opts.put(h, h, makeKey(&e.keys, mapping, nil), sol); ev > 0 {
+	if ev := st.opts.put(h, makeKey(&e.keys, mapping, nil), sol); ev > 0 {
 		st.stats.evictions.Add(ev)
 	}
 	return sol, nil

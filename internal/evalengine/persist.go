@@ -107,7 +107,7 @@ func snapshotMap(c *solCache) map[string]*redundancy.Solution {
 	return out
 }
 
-// seed inserts previously persisted entries under the usual shard caps —
+// seed inserts previously persisted entries under the usual cache cap —
 // the disk file may accumulate more history than the in-memory backstop
 // admits, and the overflow displaces residents without being counted as
 // run evictions. A key that does not decode is skipped like any other
@@ -119,7 +119,7 @@ func seed(c *solCache, m map[string]*redundancy.Solution) {
 			continue
 		}
 		h := hashInts(hashSeed, key)
-		c.put(h, h, key, sol)
+		c.put(h, key, sol)
 	}
 }
 
@@ -194,14 +194,3 @@ func (e *Evaluator) SetPersistent(c *evalcache.Cache) {
 // FlushPersistent writes entries computed since the last load to the disk
 // cache. No-op without SetPersistent.
 func (e *Evaluator) FlushPersistent() error { return e.st.flushPersistent() }
-
-// SetPersistent installs the disk-backed cache on the engine's shared
-// store; see Evaluator.SetPersistent. It must not be called while workers
-// are in use.
-func (c *Concurrent) SetPersistent(cache *evalcache.Cache) {
-	c.workers[0].SetPersistent(cache)
-}
-
-// FlushPersistent writes entries computed since the last load to the disk
-// cache. It must not be called while workers are in use.
-func (c *Concurrent) FlushPersistent() error { return c.st.flushPersistent() }

@@ -8,16 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// WorkerStats attributes a share of the engine-wide work to one worker of
-// a Concurrent engine.
-type WorkerStats struct {
-	// Evaluations counts Evaluate requests issued through this worker;
-	// CacheMisses of them computed the solution rather than finding it in
-	// the shared cache.
-	Evaluations int64
-	CacheMisses int64
-}
-
 // Stats are the engine's instrumentation counters. All counters are
 // cumulative since the engine was created (or ResetStats). The zero value
 // is a valid empty Stats; Add merges run-level stats into experiment-level
@@ -50,14 +40,9 @@ type Stats struct {
 	// ReExecTime is the wall time spent in the SFP/re-execution layer
 	// (node analyses plus the greedy k-assignment); SchedTime is the wall
 	// time spent building schedules. Both cover cache misses only — hits
-	// cost neither. With several workers the times are summed across
-	// goroutines, so they can exceed wall-clock elapsed time.
+	// cost neither.
 	ReExecTime time.Duration
 	SchedTime  time.Duration
-	// PerWorker attributes Evaluations/CacheMisses to the individual
-	// workers of a Concurrent engine (index = worker id). Empty on
-	// single-worker engines.
-	PerWorker []WorkerStats
 }
 
 // HitRate returns the solution-cache hit fraction in [0, 1].
@@ -90,13 +75,6 @@ func (s *Stats) Add(o Stats) {
 	s.Evictions += o.Evictions
 	s.ReExecTime += o.ReExecTime
 	s.SchedTime += o.SchedTime
-	if len(o.PerWorker) > len(s.PerWorker) {
-		s.PerWorker = append(s.PerWorker, make([]WorkerStats, len(o.PerWorker)-len(s.PerWorker))...)
-	}
-	for i, w := range o.PerWorker {
-		s.PerWorker[i].Evaluations += w.Evaluations
-		s.PerWorker[i].CacheMisses += w.CacheMisses
-	}
 }
 
 // Publish folds the counters into an obs.Registry under evalengine.*
@@ -119,10 +97,6 @@ func (s Stats) Publish(r *obs.Registry) {
 	r.Counter("evalengine.cache_evictions").Add(s.Evictions)
 	r.Counter("evalengine.reexec_ns").Add(int64(s.ReExecTime))
 	r.Counter("evalengine.sched_ns").Add(int64(s.SchedTime))
-	for i, w := range s.PerWorker {
-		r.Counter(fmt.Sprintf("evalengine.worker.%d.evaluations", i)).Add(w.Evaluations)
-		r.Counter(fmt.Sprintf("evalengine.worker.%d.cache_misses", i)).Add(w.CacheMisses)
-	}
 }
 
 // String renders the counters as the single-line summary printed by the
@@ -134,9 +108,10 @@ func (s Stats) String() string {
 		s.ReExecTime.Round(time.Microsecond), s.SchedTime.Round(time.Microsecond))
 }
 
-// atomicStats is the concurrency-safe backing store of Stats: the same
-// counters as atomics, so workers of a Concurrent engine increment them
-// without coordination. snapshot renders a plain Stats for reporting.
+// atomicStats is the backing store of Stats: the same counters as atomics,
+// because the live gauges read them from the /metrics scrape goroutine
+// while the engine increments them. snapshot renders a plain Stats for
+// reporting.
 type atomicStats struct {
 	evaluations    atomic.Int64
 	cacheHits      atomic.Int64

@@ -124,7 +124,6 @@ func RuntimeStudy(ctx context.Context, cfg Config, ser, hpd float64) (*Table, er
 					Goal:          inst.Goal,
 					Strategy:      s,
 					MappingParams: cfg.MappingParams,
-					Workers:       cfg.RunWorkers,
 					ParentSpan:    rowSpan,
 					Metrics:       cfg.Metrics,
 					Progress:      cfg.Progress,

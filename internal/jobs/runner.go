@@ -33,7 +33,7 @@ func runFigure(ctx context.Context, j *Job, rowJ *runstate.Journal, ec *evalcach
 	spec := j.spec
 	cfg := experiments.Config{
 		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
-		Workers: spec.Workers, RunWorkers: spec.RunWorkers,
+		Workers:    spec.Workers,
 		AppTimeout: spec.AppTimeout,
 		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
 		Metrics: j.obs.Metrics, Progress: j.obs.Progress, Log: j.obs.Log,
@@ -118,7 +118,7 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, o
 	}
 	cfg := experiments.Config{
 		Apps: base.Apps, Procs: base.Procs, Seed: base.Seed,
-		Workers: base.Workers, RunWorkers: base.RunWorkers,
+		Workers:    base.Workers,
 		AppTimeout: base.AppTimeout,
 		Journal:    rows,
 		// ShardIndex -1 owns every row; RequireJournaled turns any row that
@@ -127,7 +127,7 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, o
 		ShardIndex: -1, ShardCount: m.Shards,
 		RequireJournaled: true,
 		Metrics:          inst.Metrics, Progress: inst.Progress, Log: inst.Log,
-		Events:           inst.Events,
+		Events: inst.Events,
 	}
 	var missing *experiments.MissingRows
 	if partial {
@@ -224,7 +224,7 @@ func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst I
 	case "6d":
 		err = table(experiments.Fig6d)
 	case "cc":
-		err = runCC(ctx, &buf, render, spec.RunWorkers, span, inst.Metrics, inst.Progress, lg, ec)
+		err = runCC(ctx, &buf, render, span, inst.Metrics, inst.Progress, lg, ec)
 	case "runtime":
 		err = renderResult(experiments.RuntimeStudy(ctx, cfg, 1e-11, 25))
 	case "simulation":
@@ -271,7 +271,7 @@ func runAblation(ctx context.Context, w io.Writer, cfg experiments.Config,
 // lg are the optional observability hooks (nil disables each): the three
 // design runs nest under span, fold their counters into reg, tick the
 // "cc.strategies" progress phase and log per-run records.
-func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) error, runWorkers int, span *obs.Span, reg *obs.Registry, prog *obs.Progress, lg *obs.Logger, ec *evalcache.Cache) error {
+func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) error, span *obs.Span, reg *obs.Registry, prog *obs.Progress, lg *obs.Logger, ec *evalcache.Cache) error {
 	inst, err := cc.Instance()
 	if err != nil {
 		return err
@@ -289,7 +289,7 @@ func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) err
 	var lines []strategyStats
 	for _, s := range []core.Strategy{core.MIN, core.MAX, core.OPT} {
 		res, err := core.RunContext(ctx, inst.App, inst.Platform, core.Options{
-			Goal: inst.Goal, Strategy: s, Workers: runWorkers,
+			Goal: inst.Goal, Strategy: s,
 			ParentSpan: span, Metrics: reg, Progress: prog, Log: lg,
 			EvalCache: ec,
 		})
@@ -334,7 +334,7 @@ func runDesign(ctx context.Context, spec Spec, inst Instruments, ec *evalcache.C
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{Goal: doc.Goal(), MaxCost: spec.MaxCost, Workers: spec.RunWorkers,
+	opts := core.Options{Goal: doc.Goal(), MaxCost: spec.MaxCost,
 		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log,
 		EvalCache: ec}
 	switch spec.Strategy {
